@@ -8,7 +8,9 @@ These are the workhorses shared by the index-free Online-Query (§III), DBA
   (the fixpoint that defines a (k, δ)-truss);
 * :func:`trussness` — full decomposition: trn(e) = max k with e ∈ k-truss,
   counting only triangles marked valid (δ-trussness when the mask encodes
-  ``mts ≤ δ``; classic static trussness when all triangles are valid).
+  ``mts ≤ δ``; classic static trussness when all triangles are valid);
+* :func:`decomph` — the δ-sweep of DBA, also run by maintenance on the
+  affected subgraph (Algorithm 2 verifies with "DBA's decomph").
 """
 from __future__ import annotations
 
@@ -104,8 +106,53 @@ def trussness(
     return trn
 
 
-def triangle_level(tri_e: np.ndarray, trn: np.ndarray) -> np.ndarray:
-    """L(∆) = min trussness among the triangle's edges (Definition 10)."""
-    if len(tri_e) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return trn[tri_e].min(axis=1)
+def decomph(
+    *,
+    alive: np.ndarray,
+    sup: np.ndarray,
+    tri_e: np.ndarray,
+    mts: np.ndarray,
+    tri_alive: np.ndarray,
+    edge_tris: list[list[int]],
+    threshold: int,
+    floor: int,
+) -> list[tuple[int, int]]:
+    """δ-sweep: invalidate alive triangles in descending mts down to ``floor``.
+
+    After invalidating each mts = d group (d > ``floor``), cascade-peel the
+    edges whose support fell below ``threshold``; each peeled edge leaves
+    the truss between δ = d and δ = d − 1, i.e. its k-span is d. Triangles
+    with mts ≤ ``floor`` stay valid. ``alive``, ``sup`` and ``tri_alive``
+    are updated in place, so the survivors are ``alive`` afterwards.
+    Returns every peeled (edge, d), in removal order.
+    """
+    tids = np.flatnonzero(tri_alive)
+    order = tids[np.argsort(-mts[tids], kind="stable")]
+    out: list[tuple[int, int]] = []
+    i = 0
+    while i < len(order):
+        d = int(mts[order[i]])
+        if d <= floor:
+            break
+        seeds: list[int] = []
+        while i < len(order) and mts[order[i]] == d:
+            tid = int(order[i])
+            i += 1
+            if tri_alive[tid]:
+                tri_alive[tid] = False
+                for e in tri_e[tid]:
+                    e = int(e)
+                    if alive[e]:
+                        sup[e] -= 1
+                        seeds.append(e)
+        removed = peel_to_truss(
+            alive=alive,
+            sup=sup,
+            tri_e=tri_e,
+            tri_alive=tri_alive,
+            edge_tris=edge_tris,
+            threshold=threshold,
+            seeds=seeds,
+        )
+        out.extend((e, d) for e in removed)
+    return out

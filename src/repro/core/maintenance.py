@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import peel_to_truss, support
+from .decomposition import decomph, peel_to_truss, support
 from .kspan import KspanTable
-from .model import TemporalGraph
+from .model import TemporalGraph, TriangleStore
 
 
 @dataclass
@@ -200,43 +200,24 @@ def _verify_sweep(
         [[pos[int(x)] for x in tri.tri_e[tid]] for tid in tids], dtype=np.int64
     ).reshape(len(tids), 3)
     loc_mts = np.asarray([int(tri.mts[tid]) for tid in tids], dtype=np.int64)
-    loc_edge_tris: list[list[int]] = [[] for _ in range(n)]
-    for i in range(len(tids)):
-        for le in loc_tri[i]:
-            loc_edge_tris[int(le)].append(i)
+    loc = TriangleStore.from_arrays(loc_tri, loc_mts, n)
     alive = np.ones(n, dtype=bool)
-    tri_alive = np.ones(len(tids), dtype=bool)
-    sup = support(n, loc_tri, tri_alive)
+    tri_alive = np.ones(loc.n, dtype=bool)
+    sup = support(n, loc.tri_e, tri_alive)
     sup[n_region:] = np.int64(1) << 40  # boundary: s[e'] ← ∞ (Alg. 1 line 22)
-    new_span: dict[int, int] = {}
-    order = np.argsort(-loc_mts, kind="stable")
-    i = 0
-    while i < len(order):
-        d = int(loc_mts[order[i]])
-        if d <= delta_minus:
-            break  # triangles at or below δ⁻ stay valid throughout
-        seeds: list[int] = []
-        while i < len(order) and loc_mts[order[i]] == d:
-            ti = int(order[i])
-            i += 1
-            if tri_alive[ti]:
-                tri_alive[ti] = False
-                for le in loc_tri[ti]:
-                    le = int(le)
-                    if alive[le]:
-                        sup[le] -= 1
-                        seeds.append(le)
-        removed = peel_to_truss(
+    new_span = {
+        local[le]: d
+        for le, d in decomph(
             alive=alive,
             sup=sup,
-            tri_e=loc_tri,
+            tri_e=loc.tri_e,
+            mts=loc.mts,
             tri_alive=tri_alive,
-            edge_tris=loc_edge_tris,
+            edge_tris=loc.edge_tris,
             threshold=k - 2,
-            seeds=seeds,
+            floor=delta_minus,  # triangles at or below δ⁻ stay valid throughout
         )
-        for le in removed:
-            new_span[local[le]] = d
+    }
     for le in np.flatnonzero(alive[:n_region]):
         new_span[local[int(le)]] = delta_minus
     return new_span

@@ -49,6 +49,11 @@ class _MbaState:
         ]
         self.edge_tris: list[list[int]] = tri.edge_tris
         self.tri_valid: list[bool] = [True] * tri.n
+        # the sweep order: triangles by descending mts, and a cursor into it
+        order = np.argsort(-tri.mts, kind="stable")
+        self.mts_sorted: list[int] = [int(tri.mts[t]) for t in order]
+        self.tids_sorted: list[int] = [int(t) for t in order]
+        self.cursor = 0
         ks = [0] * g.m
         trn = self.trn
         for e1, e2, e3 in self.tri_edges:
@@ -137,6 +142,15 @@ class _MbaState:
         if pending:
             self.settle(pending, on_drop)
 
+    def invalidate_above(self, d: int, on_drop) -> None:
+        """Continue the sweep: invalidate every triangle with mts > d."""
+        mts_sorted, tids_sorted = self.mts_sorted, self.tids_sorted
+        i, n = self.cursor, len(tids_sorted)
+        while i < n and mts_sorted[i] > d:
+            self.invalidate(tids_sorted[i], on_drop)
+            i += 1
+        self.cursor = i
+
 
 def mba(g: TemporalGraph) -> KspanTable:
     """Full k-span table via one descending-mts sweep of triangle invalidations."""
@@ -149,23 +163,15 @@ def mba(g: TemporalGraph) -> KspanTable:
         k: np.full(g.m, -1, dtype=np.int64) for k in range(3, kmax + 1)
     }
 
-    order = np.argsort(-tri.mts, kind="stable")
-    mts_sorted = [int(tri.mts[t]) for t in order]
-    tids_sorted = [int(t) for t in order]
-    i = 0
-    n = len(tids_sorted)
-    while i < n:
-        d = mts_sorted[i]
-        if d == 0:
-            break  # mts = 0 triangles remain valid in every (k, δ)-truss
+    # one mts = d group per step (integer mts: mts > d − 1 ⇔ mts = d here);
+    # mts = 0 triangles remain valid in every (k, δ)-truss
+    while state.cursor < tri.n and (d := state.mts_sorted[state.cursor]) > 0:
 
         def on_drop(e: int, k_old: int, d: int = d) -> None:
             if k_old >= 3:
                 spans[k_old][e] = d
 
-        while i < n and mts_sorted[i] == d:
-            state.invalidate(tids_sorted[i], on_drop)
-            i += 1
+        state.invalidate_above(d - 1, on_drop)
 
     # Edges still at trussness t after the sweep have k-span 0 for all k ≤ t.
     for k in range(3, kmax + 1):
@@ -183,15 +189,9 @@ def mba_with_delta_trace(
     Returns {δ: trn_δ} where trn_δ counts only triangles with mts ≤ δ —
     cross-checked against a fresh decomposition at each probe.
     """
-    tri = g.triangles()
     state = _MbaState(g)
-    probes = sorted(set(probe_deltas), reverse=True)
     out: dict[int, np.ndarray] = {}
-    order = np.argsort(-tri.mts, kind="stable")
-    j = 0
-    for d in probes:
-        while j < len(order) and int(tri.mts[order[j]]) > d:
-            state.invalidate(int(order[j]), lambda e, k: None)
-            j += 1
+    for d in sorted(set(probe_deltas), reverse=True):
+        state.invalidate_above(d, lambda e, k: None)
         out[d] = np.asarray(state.trn, dtype=np.int64)
     return out

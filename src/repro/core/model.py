@@ -15,7 +15,7 @@ only), returning exactly the delta the dynamic-maintenance algorithm needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -35,7 +35,16 @@ class TriangleStore:
 
     tri_e: np.ndarray  # (T, 3) int64
     mts: np.ndarray  # (T,) int64
-    edge_tris: list[list[int]] = field(default_factory=list)
+    edge_tris: list[list[int]]
+
+    @classmethod
+    def from_arrays(cls, tri_e: np.ndarray, mts: np.ndarray, m: int) -> "TriangleStore":
+        """Store over ``m`` edges: inverts ``tri_e`` into ``edge_tris``."""
+        edge_tris: list[list[int]] = [[] for _ in range(m)]
+        for tid in range(len(mts)):
+            for e in tri_e[tid]:
+                edge_tris[int(e)].append(tid)
+        return cls(tri_e, mts, edge_tris)
 
     @property
     def n(self) -> int:
@@ -131,11 +140,7 @@ class TemporalGraph:
             else np.zeros((0, 3), dtype=np.int64)
         )
         mts = np.asarray(mts_rows, dtype=np.int64)
-        edge_tris: list[list[int]] = [[] for _ in range(self.m)]
-        for tid in range(len(mts)):
-            for e in tri_e[tid]:
-                edge_tris[int(e)].append(tid)
-        self._tri = TriangleStore(tri_e, mts, edge_tris)
+        self._tri = TriangleStore.from_arrays(tri_e, mts, self.m)
         return self._tri
 
     @property

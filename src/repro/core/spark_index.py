@@ -3,12 +3,12 @@
 Division of labour (DESIGN.md §2, "Layering decisions"):
 
 * Spark (Catalyst) does the *data-parallel* work over partitioned temporal
-  edges: normalization, triangle enumeration, minimum-time-span evaluation,
-  support counting, and iterative static truss decomposition — the stages
-  whose cost is driven by |E| and |∆|.
-* The δ-sweep of DBA/MBA is a sequential cascade; it runs on the driver
-  over the Spark-computed triangle relation (PySpark has no GraphX API and
-  δmax ≈ 2000 Spark rounds would be pure scheduler overhead).
+  edges: normalization, triangle enumeration and minimum-time-span
+  evaluation — the stages whose cost is driven by |E| and |∆|.
+* Static trussness and the δ-sweep (MBA) are sequential cascades; they run
+  on the driver over the collected, Spark-computed triangle relation
+  (PySpark has no GraphX API and δmax ≈ 2000 Spark rounds would be pure
+  scheduler overhead).
 * The finished k-span table is published back as a DataFrame partitioned
   by k; TC-Query then *is* a Catalyst filter — the predicate
   ``k = K AND kspan <= δ`` prunes to one partition and scans only rows
@@ -26,63 +26,6 @@ from ..triangles.enumerate import enumerate_triangles
 from .kspan import KspanTable
 from .mba import mba
 from .model import TemporalGraph, TriangleStore
-
-
-def trussness_spark(
-    edges: DataFrame, triangles: DataFrame, *, max_k: int = 64
-) -> DataFrame:
-    """Distributed static truss decomposition.
-
-    Iterative simultaneous pruning per level k: edges that cannot hold
-    support ≥ k−2 among surviving triangles are dropped with trn = k−1.
-    Returns DataFrame(src, dst, trn).
-    """
-    alive = edges.select("src", "dst").localCheckpoint()
-    tri = triangles.select("a", "b", "c").localCheckpoint()
-    out: list[DataFrame] = []
-    k = 3
-    while alive.count() > 0 and k <= max_k + 1:
-        # prune to fixpoint at level k
-        while True:
-            t = (
-                tri.join(alive.select(F.col("src").alias("a"), F.col("dst").alias("b")), ["a", "b"], "left_semi")
-                .join(alive.select(F.col("src").alias("b"), F.col("dst").alias("c")), ["b", "c"], "left_semi")
-                .join(alive.select(F.col("src").alias("a"), F.col("dst").alias("c")), ["a", "c"], "left_semi")
-            )
-            sup = (
-                t.select(
-                    F.explode(
-                        F.array(
-                            F.struct(F.col("a").alias("src"), F.col("b").alias("dst")),
-                            F.struct(F.col("b").alias("src"), F.col("c").alias("dst")),
-                            F.struct(F.col("a").alias("src"), F.col("c").alias("dst")),
-                        )
-                    ).alias("e")
-                )
-                .select("e.src", "e.dst")
-                .groupBy("src", "dst")
-                .agg(F.count(F.lit(1)).alias("sup"))
-            )
-            keep = sup.where(F.col("sup") >= F.lit(k - 2)).select("src", "dst")
-            new_alive = alive.join(keep, ["src", "dst"], "left_semi").localCheckpoint()
-            n_new, n_old = new_alive.count(), alive.count()
-            dropped = alive.join(new_alive, ["src", "dst"], "left_anti")
-            if n_new < n_old:
-                out.append(dropped.withColumn("trn", F.lit(k - 1)))
-            alive = new_alive
-            tri = t.localCheckpoint()
-            if n_new == n_old:
-                break
-        k += 1
-    if alive.count() > 0:
-        raise RuntimeError("trussness_spark: exceeded max_k")
-    spark = edges.sparkSession
-    if not out:
-        return spark.createDataFrame([], "src long, dst long, trn long")
-    res = out[0]
-    for df in out[1:]:
-        res = res.unionByName(df)
-    return res
 
 
 def temporal_graph_from_spark(packed: DataFrame) -> TemporalGraph:
@@ -107,11 +50,7 @@ def temporal_graph_from_spark(packed: DataFrame) -> TemporalGraph:
     else:
         tri_e = np.zeros((0, 3), dtype=np.int64)
         mts = np.zeros(0, dtype=np.int64)
-    edge_tris: list[list[int]] = [[] for _ in range(g.m)]
-    for tid in range(len(mts)):
-        for e in tri_e[tid]:
-            edge_tris[int(e)].append(tid)
-    g._tri = TriangleStore(tri_e, mts, edge_tris)
+    g._tri = TriangleStore.from_arrays(tri_e, mts, g.m)
     return g
 
 

@@ -185,6 +185,26 @@ def test_maintained_index_answers_queries(maintainer_cls):
             assert m.index.query(k, d) == online_query(g, k, d), (k, d)
 
 
+@pytest.mark.parametrize("maintainer_cls", [TCMaintainer, DCMaintainer])
+def test_maintainer_from_zero_edge_graph(maintainer_cls):
+    """Maintenance starting from no edges at all: the stream closes
+    triangles, raises kmax from 2 to 5 (a 5-clique), then narrows spans by
+    timestamp insertions; every step ≡ rebuild."""
+    g = TemporalGraph([], [])
+    g.triangles()
+    m = maintainer_cls(g)
+    assert m.table.kmax == 2 and g.triangles().n == 0
+    stream = [(u, v, 3 * u + v) for u in range(5) for v in range(u + 1, 5)]
+    stream += [(0, 1, 10), (2, 4, 7), (1, 3, 6), (5, 0, 1), (5, 1, 2)]
+    for u, v, t in stream:
+        m.insert(u, v, t)
+        _assert_equiv_rebuild(g, m.table)
+        for k in range(2, m.table.kmax + 2):
+            for d in (0, 5, m.table.delta_max):
+                assert m.index.query(k, d) == online_query(g, k, d), (k, d)
+    assert m.table.kmax == 5
+
+
 def test_maintainer_on_analog_stream():
     flat = analog("email", sf=0.06, seed=4)
     g = TemporalGraph.from_flat(flat)
